@@ -39,10 +39,9 @@ from .mobility import (MobilityConfig, SteadyMotionModel, Trace,
                        TraceGenerator, TraceSample, TraceSet,
                        UniformMotionModel)
 from .roadnet import NetworkConfig, RoadClass, RoadNetwork, generate_network
-from .saferegion import (BitmapSafeRegion, GBSRComputer, LazyPyramidBitmap,
-                         MWPSRComputer, PBSRComputer, PyramidBitmap,
-                         RectangularSafeRegion, build_pyramid_bitmap,
-                         decode_bitstring)
+from .saferegion import (BitmapSafeRegion, GBSRComputer, MWPSRComputer,
+                         PBSRComputer, PyramidBitmap, RectangularSafeRegion,
+                         build_pyramid_bitmap, decode_bitstring)
 from .strategies import (BitmapSafeRegionStrategy, OptimalStrategy,
                          PeriodicStrategy, RectangularSafeRegionStrategy,
                          SafePeriodStrategy)
@@ -59,7 +58,6 @@ __all__ = [
     "EnergyModel",
     "GBSRComputer",
     "GridOverlay",
-    "LazyPyramidBitmap",
     "MessageSizes",
     "Metrics",
     "MobilityConfig",

@@ -159,7 +159,7 @@ def _probe_fixture(rng: random.Random, points: int
         side = rng.uniform(20.0, 120.0)
         obstacles.append(Rect(x, y, x + side, y + side))
     pyramid = Pyramid(base, height=5)
-    bitmap, _ = build_pyramid_bitmap(pyramid, obstacles)
+    bitmap = build_pyramid_bitmap(pyramid, obstacles)
     xs = [rng.uniform(-10.0, 910.0) for _ in range(points)]
     ys = [rng.uniform(-10.0, 910.0) for _ in range(points)]
     scalar_points = [Point(x, y) for x, y in zip(xs, ys)]
@@ -170,9 +170,9 @@ def _probe_fixture(rng: random.Random, points: int
 
 def _bench_bitmap_probe(rng: random.Random, points: int,
                         repeats: int) -> MicroBench:
-    """Pyramid probes: per-point dict walk vs packed active-set kernel."""
+    """Pyramid probes: per-point index walk vs packed active-set kernel."""
     bitmap, scalar_points, batch = _probe_fixture(rng, points)
-    packed = PackedBitmap.from_bitmap(bitmap)
+    packed = PackedBitmap(bitmap)
 
     expected = [bitmap.probe(p) for p in scalar_points]
     inside, probes = packed.probe_batch(batch)

@@ -184,19 +184,6 @@ def interior_intersects(rects: RectBatch, other: Rect) -> BoolArray:
     return result
 
 
-def interior_intersects_matrix(a: RectBatch, b: RectBatch) -> BoolArray:
-    """Pairwise open intersection: result ``[i, j]`` tests a[i] vs b[j].
-
-    The lazy-bitmap batch probe's work matrix: rows are per-sample
-    located cells, columns are the region's obstacles.
-    """
-    result: BoolArray = ((a.min_xs[:, None] < b.max_xs[None, :])
-                         & (b.min_xs[None, :] < a.max_xs[:, None])
-                         & (a.min_ys[:, None] < b.max_ys[None, :])
-                         & (b.min_ys[None, :] < a.max_ys[:, None]))
-    return result
-
-
 def clip(rects: RectBatch, bounds: Rect) -> Tuple[RectBatch, BoolArray]:
     """Clamp every rectangle to ``bounds``; mirrors ``Rect.intersection``.
 

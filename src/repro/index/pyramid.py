@@ -19,7 +19,7 @@ canonical enumeration order everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..geometry import Point, Rect
 
@@ -50,6 +50,8 @@ class Pyramid:
         self.fan_cols = fan_cols
         self.fan_rows = fan_rows
         self.height = height
+        # level -> (x edges, y edges); at most height + 1 entries
+        self._edges: Dict[int, Tuple[List[float], List[float]]] = {}
 
     # ------------------------------------------------------------------
     def grid_dims(self, level: int) -> Tuple[int, int]:
@@ -57,21 +59,34 @@ class Pyramid:
         self._check_level(level)
         return (self.fan_cols ** level, self.fan_rows ** level)
 
-    def cell_rect(self, cell: PyramidCell) -> Rect:
-        """Geometric rectangle of ``cell``.
+    def edges(self, level: int) -> Tuple[List[float], List[float]]:
+        """Cell edges ``(xs, ys)`` of ``level``; column c is xs[c]..xs[c+1].
 
-        Edges use the ratio form ``base.min + base.extent * k / n`` so
-        that coincident boundaries at *different* levels (e.g. 24/27 and
-        8/9) evaluate to bit-identical floats — cells then tile exactly
-        and never overlap across levels.
+        The ratio form ``base.min + base.extent * k / n`` makes cells of
+        one level share boundaries as bit-identical floats.  Edges of
+        different levels that coincide in exact arithmetic (24/27 and
+        8/9) can differ in the last bit: a child may poke an ulp outside
+        its parent.  Cached per instance.
         """
+        cached = self._edges.get(level)
+        if cached is None:
+            cols, rows = self.grid_dims(level)
+            base = self.base
+            cached = ([base.min_x + base.width * k / cols
+                       for k in range(cols + 1)],
+                      [base.min_y + base.height * k / rows
+                       for k in range(rows + 1)])
+            self._edges[level] = cached
+        return cached
+
+    def cell_rect(self, cell: PyramidCell) -> Rect:
+        """Geometric rectangle of ``cell``, from :meth:`edges`."""
         cols, rows = self.grid_dims(cell.level)
         if not (0 <= cell.col < cols and 0 <= cell.row < rows):
             raise ValueError("cell %r outside level grid" % (cell,))
-        return Rect(self.base.min_x + self.base.width * cell.col / cols,
-                    self.base.min_y + self.base.height * cell.row / rows,
-                    self.base.min_x + self.base.width * (cell.col + 1) / cols,
-                    self.base.min_y + self.base.height * (cell.row + 1) / rows)
+        xs, ys = self.edges(cell.level)
+        return Rect(xs[cell.col], ys[cell.row],
+                    xs[cell.col + 1], ys[cell.row + 1])
 
     def locate(self, p: Point, level: int) -> PyramidCell:
         """Cell of ``p`` at ``level``; boundary points clamp inward."""

@@ -371,28 +371,37 @@ class AlarmDaemon:
             worker: "asyncio.Task[None]", writer: asyncio.StreamWriter,
             clean: bool, requests: int,
             error: Optional[str]) -> None:
-        if error is not None:
+        try:
+            if error is not None:
+                try:
+                    writer.write(encode_frame(FrameKind.ERROR,
+                                              encode_error(error)))
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    pass
+            # Prefer a graceful stop (the worker finishes queued work);
+            # cancel only if the queue is full, where a put would block.
             try:
-                writer.write(encode_frame(FrameKind.ERROR,
-                                          encode_error(error)))
-                await writer.drain()
+                queue.put_nowait(_SENTINEL)
+            except asyncio.QueueFull:
+                worker.cancel()
+            try:
+                await worker
+            except asyncio.CancelledError:
+                pass
+            writer.close()
+            try:
+                await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-        # Prefer a graceful stop (the worker finishes queued work);
-        # cancel only if the queue is full, where a put would block.
-        try:
-            queue.put_nowait(_SENTINEL)
-        except asyncio.QueueFull:
-            worker.cancel()
-        try:
-            await worker
         except asyncio.CancelledError:
-            pass
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+            # aclose() cancelled this connection mid-teardown.  Absorbed
+            # for the reason given in _handle_connection; the worker is
+            # still reaped and the close still recorded.
+            clean = False
+            worker.cancel()
+            writer.close()
+            await asyncio.gather(worker, return_exceptions=True)
         self._conn_queues.pop(conn_id, None)
         telemetry = self.server.telemetry
         if telemetry.enabled:

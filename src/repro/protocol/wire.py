@@ -309,11 +309,11 @@ def encode_bitmap_region(cell_ref: int, bitmap: "PyramidBitmap",
     ``MessageSizes.bitmap_message``.
     """
     bits = bitmap.to_bitstring()
-    packed = bytearray((len(bits) + 7) // 8)
-    for index, bit in enumerate(bits):
-        if bit == "1":
-            packed[index // 8] |= 1 << (7 - index % 8)
-    payload = _BITMAP_FIXED.pack(cell_ref, len(bits)) + bytes(packed)
+    # bit i lands in byte i // 8 at mask 1 << (7 - i % 8): the string,
+    # zero-padded to whole bytes, is the payload as one big-endian int
+    padded = bits + "0" * (-len(bits) % 8)
+    packed = int(padded, 2).to_bytes(len(padded) // 8, "big") if bits else b""
+    payload = _BITMAP_FIXED.pack(cell_ref, len(bits)) + packed
     return _header(MessageType.BITMAP_SAFE_REGION, len(payload), sender,
                    timestamp) + payload
 
@@ -329,11 +329,11 @@ def decode_bitmap_region(data: bytes, pyramid: "Pyramid"
     cell_ref, bit_count = _BITMAP_FIXED.unpack(
         payload[:_BITMAP_FIXED.size])
     packed = payload[_BITMAP_FIXED.size:]
-    bits: List[str] = []
-    for index in range(bit_count):
-        byte = packed[index // 8]
-        bits.append("1" if byte & (1 << (7 - index % 8)) else "0")
-    return cell_ref, decode_bitstring(pyramid, "".join(bits))
+    if len(packed) * 8 < bit_count:
+        raise ValueError("bitmap payload shorter than its bit count")
+    bits = format(int.from_bytes(packed, "big"),
+                  "0%db" % (len(packed) * 8))[:bit_count]
+    return cell_ref, decode_bitstring(pyramid, bits)
 
 
 def encode_invalidate(sender: int = 0, timestamp: float = 0.0) -> bytes:

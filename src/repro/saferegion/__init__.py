@@ -2,8 +2,8 @@
 
 from .base import (FLOAT_BITS, RectangularSafeRegion, SafeRegion,
                    region_is_safe)
-from .bitmap import (BitmapBuildStats, BitmapSafeRegion, LazyPyramidBitmap,
-                     PyramidBitmap, build_pyramid_bitmap, decode_bitstring)
+from .bitmap import (BitmapSafeRegion, PyramidBitmap, build_pyramid_bitmap,
+                     decode_bitstring)
 from .gbsr import GBSRComputer
 from .hu_baseline import HuBaselineComputer
 from .mwpsr import MWPSRComputer, MWPSRResult
@@ -14,13 +14,11 @@ from .pbsr import PBSRComputer
 from .containment import ClientMonitor  # noqa: E402
 
 __all__ = [
-    "BitmapBuildStats",
     "BitmapSafeRegion",
     "ClientMonitor",
     "FLOAT_BITS",
     "GBSRComputer",
     "HuBaselineComputer",
-    "LazyPyramidBitmap",
     "MWPSRComputer",
     "MWPSRResult",
     "PBSRComputer",

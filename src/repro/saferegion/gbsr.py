@@ -10,35 +10,19 @@ area (Fig. 3(b)), a fine grid wastes bits (Fig. 3(c)).
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from ..geometry import Rect
-from ..index import Pyramid
-from .bitmap import BitmapSafeRegion, LazyPyramidBitmap
+from .pbsr import PBSRComputer
 
 
-class GBSRComputer:
+class GBSRComputer(PBSRComputer):
     """Builds single-level grid bitmap safe regions.
 
     ``resolution`` is the grid arity ``G`` (the paper's Fig. 3 shows 3x3
-    and 9x9 variants).
+    and 9x9 variants).  A height-1 :class:`PBSRComputer` that treats all
+    obstacles alike (no sharing optimization at a single level).
     """
 
     def __init__(self, resolution: int = 3) -> None:
         if resolution < 2:
             raise ValueError("resolution must be at least 2")
+        super().__init__(height=1, fan=resolution, share_public=False)
         self.resolution = resolution
-
-    def compute(self, cell: Rect, public_obstacles: Sequence[Rect],
-                personal_obstacles: Sequence[Rect] = ()
-                ) -> BitmapSafeRegion:
-        """Safe region of ``cell`` given the relevant alarm regions.
-
-        The public/personal split mirrors :class:`PBSRComputer`'s
-        signature so strategies can use either computer; GBSR treats all
-        obstacles alike (no sharing optimization at a single level).
-        """
-        pyramid = Pyramid(cell, fan_cols=self.resolution,
-                          fan_rows=self.resolution, height=1)
-        obstacles = list(public_obstacles) + list(personal_obstacles)
-        return BitmapSafeRegion(LazyPyramidBitmap(pyramid, obstacles))

@@ -5,12 +5,9 @@ Batch-mode counterparts of the scalar safe-region machinery:
 * :func:`pack_bitstring` / :func:`unpack_bitstring` / :func:`popcount`
   — the serialized pyramid bitmap as packed uint64 words instead of a
   character string, with bitwise encode/decode and population count.
-* :class:`PackedBitmap` — an eager :class:`PyramidBitmap` flattened to
-  one dense per-level array, probing a whole population of points per
-  interpreter dispatch.
-* :class:`LazyBatchProbe` — the batch form of
-  :class:`LazyPyramidBitmap.probe`: the progressive obstacle filtering
-  becomes a points x obstacles survival matrix narrowed level by level.
+* :class:`PackedBitmap` — a :class:`PyramidBitmap` flattened to one
+  dense boolean array per level, probing a whole population of points
+  per interpreter dispatch.
 * :func:`quadrant_skyline` — the MWPSR candidate generation and
   dominance pruning (steps 1-2 of the paper's Section 3 algorithm)
   over an obstacle batch.
@@ -25,28 +22,19 @@ safe-region package importable without it.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union, cast
+from typing import List, Tuple, cast
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ..geometry.batch import (INITIAL_SCAN_BLOCK, MAX_SCAN_BLOCK, BoolArray,
-                              IntArray, PointBatch, RectBatch, contains,
-                              interior_intersects_matrix)
+                              IntArray, PointBatch, RectBatch, contains)
 from ..geometry.point import Point
 from ..geometry.rect import Rect
 from ..index.pyramid import Pyramid
-from .bitmap import BitmapSafeRegion, LazyPyramidBitmap, PyramidBitmap
+from .bitmap import BitmapSafeRegion, PyramidBitmap
 
 WordArray = NDArray[np.uint64]
-
-#: Dense level-array cell states (:class:`PackedBitmap`).  ``UNSAFE``
-#: and ``SAFE`` are emitted bits; ``INHERITED`` marks cells that were
-#: never emitted because an ancestor is safe.
-UNSAFE = 0
-SAFE = 1
-INHERITED = 2
-
 
 # ----------------------------------------------------------------------
 # Packed words: encode / decode / popcount
@@ -103,65 +91,35 @@ def _locate_level(pyramid: Pyramid, xs: NDArray[np.float64],
     return col, row, cols, rows
 
 
-def _level_cell_rects(pyramid: Pyramid, col: IntArray, row: IntArray,
-                      cols: int, rows: int) -> RectBatch:
-    """Vectorized ``Pyramid.cell_rect`` over located cells.
-
-    The ratio form ``base.min + extent * k / n`` is preserved exactly
-    so edges agree bit-for-bit with the scalar rectangles.
-    """
-    base = pyramid.base
-    col_f = col.astype(np.float64)
-    row_f = row.astype(np.float64)
-    return RectBatch(
-        base.min_x + base.width * col_f / cols,
-        base.min_y + base.height * row_f / rows,
-        base.min_x + base.width * (col_f + 1.0) / cols,
-        base.min_y + base.height * (row_f + 1.0) / rows)
-
-
 # ----------------------------------------------------------------------
-# Eager bitmaps, packed
+# Bitmaps, packed
 # ----------------------------------------------------------------------
 class PackedBitmap:
-    """An eager :class:`PyramidBitmap` in batch-probe form.
+    """A :class:`PyramidBitmap` in batch-probe form.
 
-    ``words`` packs the wire serialization; ``levels`` holds one dense
-    uint8 array per pyramid level (flat index ``row * cols + col``)
-    with :data:`UNSAFE` / :data:`SAFE` / :data:`INHERITED` states, the
-    array form of the ``bits.get(cell)`` lookup.
+    ``levels[L]`` is a dense boolean array over every cell of level
+    ``L`` (flat index ``row * cols + col``), true where the cell is 0:
+    an emitted 0-cell or a descendant of a covered one.  A level of a
+    whole point population is then one gather.
     """
 
-    __slots__ = ("pyramid", "words", "bit_length", "levels")
+    __slots__ = ("bitmap", "levels")
 
-    def __init__(self, pyramid: Pyramid, words: WordArray,
-                 bit_length: int,
-                 levels: Sequence[NDArray[np.uint8]]) -> None:
-        self.pyramid = pyramid
-        self.words = words
-        self.bit_length = bit_length
-        self.levels = list(levels)
-
-    @classmethod
-    def from_bitmap(cls, bitmap: PyramidBitmap) -> "PackedBitmap":
+    def __init__(self, bitmap: PyramidBitmap) -> None:
         pyramid = bitmap.pyramid
-        words, bit_length = pack_bitstring(bitmap.to_bitstring())
-        levels: List[NDArray[np.uint8]] = []
+        self.bitmap = bitmap
+        self.levels: List[BoolArray] = []
         for level in range(pyramid.height + 1):
             cols, rows = pyramid.grid_dims(level)
-            levels.append(np.full(cols * rows, INHERITED, dtype=np.uint8))
-        for cell, bit in bitmap.bits.items():
-            cols, _rows = pyramid.grid_dims(cell.level)
-            levels[cell.level][cell.row * cols + cell.col] = bit
-        return cls(pyramid, words, bit_length, levels)
-
-    def to_bitstring(self) -> str:
-        """The wire serialization; round-trips ``PyramidBitmap``'s."""
-        return unpack_bitstring(self.words, self.bit_length)
-
-    def popcount(self) -> int:
-        """Number of 1 bits in the serialization (safe pieces)."""
-        return popcount(self.words)
+            zero = np.zeros((rows, cols), dtype=np.bool_)
+            zero.flat[list(bitmap.zeros[level])] = True
+            for ancestor in range(level):
+                step_cols, step_rows = pyramid.grid_dims(level - ancestor)
+                for flat in bitmap.covered[ancestor]:
+                    row, col = divmod(flat, pyramid.fan_cols ** ancestor)
+                    zero[row * step_rows:(row + 1) * step_rows,
+                         col * step_cols:(col + 1) * step_cols] = True
+            self.levels.append(zero.ravel())
 
     def probe_batch(self, points: PointBatch
                     ) -> Tuple[BoolArray, IntArray]:
@@ -169,79 +127,26 @@ class PackedBitmap:
 
         Points outside the base cell report ``(False, 1)``; the rest
         walk the levels together, each point retiring at its first
-        safe (or inherited-safe) cell, unsafe leaves costing
-        ``height + 1`` probes — the scalar counts exactly.
+        cell that is not 0, unsafe leaves costing ``height + 1`` probes
+        — the scalar counts exactly.
         """
+        pyramid = self.bitmap.pyramid
         count = len(points)
         inside = np.zeros(count, dtype=np.bool_)
         probes = np.ones(count, dtype=np.int64)
-        active = np.flatnonzero(contains(self.pyramid.base, points))
+        active = np.flatnonzero(contains(pyramid.base, points))
         probes[active] = 0
-        for level in range(self.pyramid.height + 1):
+        for level in range(pyramid.height + 1):
             if active.size == 0:
                 break
             probes[active] += 1
             col, row, cols, _rows = _locate_level(
-                self.pyramid, points.xs[active], points.ys[active], level)
-            states = self.levels[level][row * cols + col]
-            safe = states > UNSAFE  # SAFE or INHERITED: probe resolves
-            inside[active[safe]] = True
-            active = active[~safe]
+                pyramid, points.xs[active], points.ys[active], level)
+            zero = self.levels[level][row * cols + col]
+            inside[active[~zero]] = True
+            active = active[zero]
         return inside, probes
 
-
-# ----------------------------------------------------------------------
-# Lazy bitmaps, batched
-# ----------------------------------------------------------------------
-class LazyBatchProbe:
-    """Batch form of :meth:`LazyPyramidBitmap.probe`.
-
-    The scalar probe narrows a per-point obstacle list level by level;
-    here that state is a ``points x obstacles`` boolean matrix narrowed
-    with one :func:`interior_intersects_matrix` per level.  A pair once
-    dead stays dead — exactly the scalar list filtering — and a point
-    whose row empties at level ``L`` resolves safe with ``L + 1``
-    probes.
-    """
-
-    __slots__ = ("pyramid", "obstacles")
-
-    def __init__(self, pyramid: Pyramid,
-                 obstacles: Sequence[Rect]) -> None:
-        # Callers pass LazyPyramidBitmap.obstacles, already filtered to
-        # those intersecting the base cell.
-        self.pyramid = pyramid
-        self.obstacles = RectBatch.from_rects(list(obstacles))
-
-    def probe_batch(self, points: PointBatch
-                    ) -> Tuple[BoolArray, IntArray]:
-        count = len(points)
-        inside = np.zeros(count, dtype=np.bool_)
-        probes = np.ones(count, dtype=np.int64)
-        active = np.flatnonzero(contains(self.pyramid.base, points))
-        if len(self.obstacles) == 0:
-            # Level 0 finds no relevant obstacle: (True, 1).
-            inside[active] = True
-            return inside, probes
-        probes[active] = 0
-        alive = np.ones((active.size, len(self.obstacles)),
-                        dtype=np.bool_)
-        for level in range(self.pyramid.height + 1):
-            if active.size == 0:
-                break
-            probes[active] += 1
-            col, row, cols, rows = _locate_level(
-                self.pyramid, points.xs[active], points.ys[active], level)
-            cells = _level_cell_rects(self.pyramid, col, row, cols, rows)
-            alive &= interior_intersects_matrix(cells, self.obstacles)
-            resolved = ~alive.any(axis=1)
-            inside[active[resolved]] = True
-            active = active[~resolved]
-            alive = alive[~resolved]
-        return inside, probes
-
-
-BatchProbe = Union[PackedBitmap, LazyBatchProbe]
 
 #: Samples scanned through the scalar oracle before the array kernels
 #: engage in :func:`bitmap_silent_run`.  Frequent reporters (GBSR's
@@ -252,7 +157,7 @@ BatchProbe = Union[PackedBitmap, LazyBatchProbe]
 _SCALAR_PREFIX = 8
 
 
-def probe_for(region: BitmapSafeRegion) -> BatchProbe:
+def probe_for(region: BitmapSafeRegion) -> PackedBitmap:
     """The batch probe for ``region``, built once and cached on it.
 
     GBSR/PBSR install fresh :class:`BitmapSafeRegion` instances per
@@ -262,13 +167,9 @@ def probe_for(region: BitmapSafeRegion) -> BatchProbe:
     """
     cached = region.batch_probe
     if cached is None:
-        bitmap = region.bitmap
-        if isinstance(bitmap, PyramidBitmap):
-            cached = PackedBitmap.from_bitmap(bitmap)
-        else:
-            cached = LazyBatchProbe(bitmap.pyramid, bitmap.obstacles)
+        cached = PackedBitmap(region.bitmap)
         region.batch_probe = cached
-    return cast(BatchProbe, cached)
+    return cast(PackedBitmap, cached)
 
 
 def bitmap_silent_run(region: BitmapSafeRegion, cell: Rect,

@@ -21,7 +21,10 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..geometry import Rect
 from ..index import DEFAULT_FAN, Pyramid
-from .bitmap import BitmapSafeRegion, LazyPyramidBitmap
+from .bitmap import BitmapSafeRegion, build_pyramid_bitmap
+
+#: Pyramids (with their edge tables) a computer keeps before starting over.
+PYRAMID_CACHE_SIZE = 1024
 
 
 class PBSRComputer:
@@ -34,6 +37,9 @@ class PBSRComputer:
         self.height = height
         self.fan = fan
         self.share_public = share_public
+        # cell corners -> its pyramid, so edge tables are built once
+        self._pyramids: Dict[Tuple[float, float, float, float],
+                             Pyramid] = {}
         # cell key -> (public obstacle tuple, shared region); hit only when
         # the user's pending public set in the cell matches exactly.
         self._public_cache: Dict[Tuple[float, float],
@@ -53,9 +59,9 @@ class PBSRComputer:
         callers indifferent to the optimization may pass everything as
         public.
         """
-        public_key = tuple(sorted(
-            (r.min_x, r.min_y, r.max_x, r.max_y) for r in public_obstacles))
         if (self.share_public and not personal_obstacles):
+            public_key = tuple(sorted((r.min_x, r.min_y, r.max_x, r.max_y)
+                                      for r in public_obstacles))
             cache_key = (cell.min_x, cell.min_y)
             cached = self._public_cache.get(cache_key)
             if cached is not None and cached[0] == public_key:
@@ -70,9 +76,15 @@ class PBSRComputer:
 
     def _build(self, cell: Rect,
                obstacles: List[Rect]) -> BitmapSafeRegion:
-        pyramid = Pyramid(cell, fan_cols=self.fan, fan_rows=self.fan,
-                          height=self.height)
-        return BitmapSafeRegion(LazyPyramidBitmap(pyramid, obstacles))
+        key = (cell.min_x, cell.min_y, cell.max_x, cell.max_y)
+        pyramid = self._pyramids.get(key)
+        if pyramid is None:
+            if len(self._pyramids) >= PYRAMID_CACHE_SIZE:
+                self._pyramids.clear()
+            pyramid = Pyramid(cell, fan_cols=self.fan, fan_rows=self.fan,
+                              height=self.height)
+            self._pyramids[key] = pyramid
+        return BitmapSafeRegion(build_pyramid_bitmap(pyramid, obstacles))
 
     def clear_cache(self) -> None:
         self._public_cache.clear()

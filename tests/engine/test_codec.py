@@ -112,7 +112,7 @@ class TestBitmapRegion:
 
     def _bitmap(self, height=2):
         pyramid = Pyramid(self.CELL, fan_cols=3, fan_rows=3, height=height)
-        bitmap, _ = build_pyramid_bitmap(pyramid, self.OBSTACLES)
+        bitmap = build_pyramid_bitmap(pyramid, self.OBSTACLES)
         return pyramid, bitmap
 
     def test_roundtrip(self):
@@ -121,7 +121,8 @@ class TestBitmapRegion:
         cell_ref, decoded = decode_bitmap_region(data, pyramid)
         assert cell_ref == 17
         assert decoded.to_bitstring() == bitmap.to_bitstring()
-        assert decoded.bits == bitmap.bits
+        assert decoded.bit_length() == bitmap.bit_length()
+        assert decoded.coverage() == bitmap.coverage()
 
     def test_size_matches_cost_model(self):
         pyramid, bitmap = self._bitmap()
@@ -147,7 +148,7 @@ class TestBitmapRegion:
     def test_property_roundtrip(self, raw):
         obstacles = [Rect(x, y, x + s, y + s) for x, y, s in raw]
         pyramid = Pyramid(self.CELL, fan_cols=3, fan_rows=3, height=2)
-        bitmap, _ = build_pyramid_bitmap(pyramid, obstacles)
+        bitmap = build_pyramid_bitmap(pyramid, obstacles)
         data = encode_bitmap_region(3, bitmap)
         _, decoded = decode_bitmap_region(data, pyramid)
         assert decoded.to_bitstring() == bitmap.to_bitstring()

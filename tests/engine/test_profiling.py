@@ -10,8 +10,14 @@ contribute zero seconds); these tests hold that behavior in place.
 
 import pytest
 
+import repro.saferegion.bitmap as bitmap_module
+from repro.engine import run_simulation
 from repro.engine.profiling import (PhaseProfiler, PhaseStat,
                                     merge_reports)
+from repro.saferegion import GBSRComputer, PBSRComputer, PyramidBitmap
+from repro.strategies import BitmapSafeRegionStrategy
+
+from ..strategies.conftest import make_world
 
 
 class TestBasics:
@@ -133,3 +139,45 @@ class TestMergeAndReports:
         stat.add(0.25, calls=2)
         assert stat.calls == 3
         assert stat.wall_s == 0.75
+
+
+class TestBitmapWorkAttribution:
+    """GBSR/PBSR bitmap work is charged to the safe-region bucket.
+
+    Size and coverage are computed when the bitmap is built, inside
+    ``timed_saferegion`` and the ``saferegion_compute`` phase; the
+    transport's ``encoding`` span only reads the finished size.
+    """
+
+    @pytest.mark.parametrize("make_strategy", (
+        lambda: BitmapSafeRegionStrategy(PBSRComputer(height=5)),
+        lambda: BitmapSafeRegionStrategy(PBSRComputer(height=1)),
+        lambda: BitmapSafeRegionStrategy(GBSRComputer(resolution=3),
+                                         name="GBSR"),
+    ), ids=("pbsr", "pbsr-h1", "gbsr"))
+    def test_bitmap_work_runs_in_saferegion_compute(self, monkeypatch,
+                                                    make_strategy):
+        world = make_world(vehicles=6, duration=120.0)
+        profiler = PhaseProfiler()
+        seen = []
+
+        def spy(function):
+            def wrapper(*args):
+                seen.append((function.__name__,
+                             profiler._depth.get("saferegion_compute", 0),
+                             profiler._depth.get("encoding", 0)))
+                return function(*args)
+            return wrapper
+
+        for name in ("_count_bits", "_measure_area"):
+            monkeypatch.setattr(PyramidBitmap, name,
+                                spy(getattr(PyramidBitmap, name)))
+        monkeypatch.setattr(bitmap_module, "_emission",
+                            spy(bitmap_module._emission))
+        result = run_simulation(world, make_strategy(), profiler=profiler)
+
+        assert seen
+        assert all(compute == 1 and encoding == 0
+                   for _, compute, encoding in seen), seen
+        assert result.metrics.saferegion_time_s \
+            >= profiler.phases["saferegion_compute"].wall_s

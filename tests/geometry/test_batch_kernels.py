@@ -20,8 +20,7 @@ from repro.geometry.batch import (PointBatch, RectBatch,
                                   any_interior_contains, clip, contains,
                                   first_outside, first_violation,
                                   interior_contains, interior_intersects,
-                                  interior_intersects_matrix, intersects,
-                                  rects_feq)
+                                  intersects, rects_feq)
 from repro.geometry.eps import EPS, feq, feq_array, fzero, fzero_array
 
 coords = st.floats(min_value=-1e5, max_value=1e5, allow_nan=False,
@@ -87,16 +86,6 @@ class TestRectKernels:
         batch = RectBatch.from_rects(rect_list)
         assert interior_intersects(batch, other).tolist() \
             == [r.interior_intersects(other) for r in rect_list]
-
-    @given(rect_lists(), rect_lists())
-    def test_interior_intersects_matrix_matches_scalar(self, a_list,
-                                                       b_list):
-        matrix = interior_intersects_matrix(RectBatch.from_rects(a_list),
-                                            RectBatch.from_rects(b_list))
-        assert matrix.shape == (len(a_list), len(b_list))
-        for i, a in enumerate(a_list):
-            for j, b in enumerate(b_list):
-                assert bool(matrix[i, j]) == a.interior_intersects(b)
 
     @given(rect_lists(), rects())
     def test_clip_matches_scalar_intersection(self, rect_list, bounds):

@@ -56,6 +56,74 @@ class TestRequestReply:
             "net_connections_closed").value == 2
 
 
+class _StallingWriter:
+    """A stream writer whose ``stall`` coroutine method never returns."""
+
+    def __init__(self, stall):
+        self.stall = stall
+        self.stalled = asyncio.Event()
+        self.closed = False
+
+    def write(self, data):
+        pass
+
+    def close(self):
+        self.closed = True
+
+    async def _maybe_stall(self, name):
+        if name == self.stall:
+            self.stalled.set()
+            await asyncio.Event().wait()
+
+    async def drain(self):
+        await self._maybe_stall("drain")
+
+    async def wait_closed(self):
+        await self._maybe_stall("wait_closed")
+
+
+class TestCancelledTeardown:
+    """``aclose`` can cancel a connection task while it tears down; the
+    close is still recorded and the drain worker still reaped."""
+
+    @pytest.mark.parametrize("stall", ("drain", "worker", "wait_closed"))
+    def test_close_recorded_when_cancelled_mid_teardown(self, stall):
+        telemetry = Telemetry.capture()
+        daemon = make_daemon(telemetry=telemetry)
+
+        async def scenario():
+            writer = _StallingWriter(stall)
+            queue = asyncio.Queue(maxsize=4)
+            worker_waiting = asyncio.Event()
+
+            async def worker_body():
+                if stall == "worker":  # ignores the stop sentinel
+                    worker_waiting.set()
+                    await asyncio.Event().wait()
+                await queue.get()
+
+            worker = asyncio.create_task(worker_body())
+            error = "bad frame" if stall == "drain" else None
+            teardown = asyncio.create_task(daemon._finish_connection(
+                7, queue, worker, writer, True, 3, error))
+            if stall == "worker":
+                await worker_waiting.wait()
+                await asyncio.sleep(0)  # teardown now awaits the worker
+            else:
+                await writer.stalled.wait()
+            teardown.cancel()
+            await teardown  # absorbed, like the reader's cancellation
+            assert worker.done()
+            assert writer.closed
+
+        asyncio.run(scenario())
+        closes = [record for record in telemetry.tracer.sink.records
+                  if record["type"] == "net_conn_close"]
+        assert [record["conn"] for record in closes] == [7]
+        assert telemetry.registry.counter(
+            "net_connections_closed").value == 1
+
+
 class TestBatchingAndBackpressure:
     def test_flood_triggers_backpressure_and_batches(self, sock_path):
         """A client that writes 64 uplinks before reading anything must

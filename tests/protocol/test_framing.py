@@ -222,7 +222,7 @@ class TestReplyBatches:
         from repro.saferegion import build_pyramid_bitmap
 
         pyramid = Pyramid(Rect(0.0, 0.0, 9.0, 9.0), height=2)
-        bitmap, _stats = build_pyramid_bitmap(
+        bitmap = build_pyramid_bitmap(
             pyramid, [Rect(1.0, 1.0, 2.0, 2.0)])
         region = InstallSafeRegion(cell_ref=0, bitmap=bitmap)
         payload = encode_reply(self.codec, (region,), sender=0,
@@ -237,7 +237,7 @@ class TestReplyBatches:
 
         base = Rect(0.0, 0.0, 9.0, 9.0)
         pyramid = Pyramid(base, height=2)
-        bitmap, _stats = build_pyramid_bitmap(pyramid, [Rect(1.0, 1.0, 2.0, 2.0)])
+        bitmap = build_pyramid_bitmap(pyramid, [Rect(1.0, 1.0, 2.0, 2.0)])
         cell_ref = pack_cell_ref(3, 4)
         region = InstallSafeRegion(cell_ref=cell_ref, bitmap=bitmap)
         payload = encode_reply(self.codec, (region,), sender=0,

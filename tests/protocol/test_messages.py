@@ -17,8 +17,8 @@ CELL = Rect(0, 0, 1000, 1000)
 
 
 def _bitmap():
-    bitmap, _ = build_pyramid_bitmap(Pyramid(CELL, height=1),
-                                     [Rect(100, 100, 200, 200)])
+    bitmap = build_pyramid_bitmap(Pyramid(CELL, height=1),
+                                  [Rect(100, 100, 200, 200)])
     return bitmap
 
 

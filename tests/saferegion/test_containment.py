@@ -35,7 +35,7 @@ class TestClientMonitor:
 
     def test_bitmap_region_roundtrip_decisions(self):
         pyramid = Pyramid(CELL, fan_cols=3, fan_rows=3, height=3)
-        bitmap, _ = build_pyramid_bitmap(pyramid, ALARMS)
+        bitmap = build_pyramid_bitmap(pyramid, ALARMS)
         monitor = ClientMonitor(fan=3, height=3)
         monitor.receive(encode_bitmap_region(0, bitmap), cell_rect=CELL)
         # decisions must equal direct probes of the original bitmap
@@ -59,7 +59,7 @@ class TestClientMonitor:
 
     def test_bitmap_requires_cell_rect(self):
         pyramid = Pyramid(CELL, height=1)
-        bitmap, _ = build_pyramid_bitmap(pyramid, [])
+        bitmap = build_pyramid_bitmap(pyramid, [])
         monitor = ClientMonitor(height=1)
         with pytest.raises(ValueError):
             monitor.receive(encode_bitmap_region(0, bitmap))
@@ -132,7 +132,7 @@ class TestWireTrueEquivalence:
                 0, cell, exclude_ids=fired)]
             if use_bitmap:
                 pyramid = Pyr(cell, fan_cols=3, fan_rows=3, height=3)
-                bitmap, _ = build_pyramid_bitmap(pyramid, pending)
+                bitmap = build_pyramid_bitmap(pyramid, pending)
                 monitor.receive(encode_bitmap_region(0, bitmap),
                                 cell_rect=cell)
             else:

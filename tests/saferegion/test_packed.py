@@ -4,8 +4,8 @@ The batch mode's correctness story is that every kernel in
 :mod:`repro.saferegion.packed` reproduces one scalar code path bit for
 bit; this module holds each pairing to it.  The bitstring codec is
 checked against the serialized pyramid bitmaps it packs, the batch
-probes against :meth:`PyramidBitmap.probe` / :meth:`LazyPyramidBitmap.
-probe` verdict-and-count, the silent-run scanner against a literal
+probe against :meth:`PyramidBitmap.probe` verdict-and-count (built and
+decoded bitmaps alike), the silent-run scanner against a literal
 per-sample replay of the strategy's scalar loop, and the MWPSR
 quadrant skyline against the computer's own candidate generation —
 including a full ``compute(batched=True)`` vs scalar comparison above
@@ -22,14 +22,14 @@ from hypothesis import strategies as st
 from repro.geometry import Point, Rect
 from repro.geometry.batch import PointBatch, RectBatch
 from repro.index import Pyramid
-from repro.saferegion.bitmap import (BitmapSafeRegion, LazyPyramidBitmap,
-                                     PyramidBitmap, build_pyramid_bitmap)
+from repro.saferegion.bitmap import (BitmapSafeRegion, build_pyramid_bitmap,
+                                     decode_bitstring)
 from repro.saferegion.mwpsr import (_BATCH_MIN_OBSTACLES, _QUADRANT_SIGNS,
                                     MWPSRComputer)
-from repro.saferegion.packed import (_SCALAR_PREFIX, LazyBatchProbe,
-                                     PackedBitmap, bitmap_silent_run,
-                                     pack_bitstring, popcount, probe_for,
-                                     quadrant_skyline, unpack_bitstring)
+from repro.saferegion.packed import (_SCALAR_PREFIX, PackedBitmap,
+                                     bitmap_silent_run, pack_bitstring,
+                                     popcount, probe_for, quadrant_skyline,
+                                     unpack_bitstring)
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=300)
 
@@ -94,16 +94,6 @@ class TestBitstringCodec:
         with pytest.raises(ValueError):
             unpack_bitstring(words, int(words.size) * 64 + 1)
 
-    def test_packed_bitmap_round_trips_the_serialization(self):
-        rng = random.Random(5)
-        bitmap, _ = build_pyramid_bitmap(Pyramid(BASE, height=3),
-                                         _obstacles(rng))
-        packed = PackedBitmap.from_bitmap(bitmap)
-        bits = bitmap.to_bitstring()
-        assert packed.to_bitstring() == bits
-        assert packed.bit_length == bitmap.bit_length()
-        assert packed.popcount() == bits.count("1")
-
 
 # ----------------------------------------------------------------------
 # Batch probes
@@ -112,9 +102,11 @@ class TestProbeDifferential:
     @pytest.mark.parametrize("height", (1, 2, 4))
     def test_packed_probe_matches_eager_bitmap(self, height):
         rng = random.Random(height)
-        bitmap, _ = build_pyramid_bitmap(Pyramid(BASE, height=height),
-                                         _obstacles(rng))
-        packed = PackedBitmap.from_bitmap(bitmap)
+        pyramid = Pyramid(BASE, height=height)
+        built = build_pyramid_bitmap(pyramid, _obstacles(rng))
+        # the client's view: every 0-cell explicit, decoded from the wire
+        bitmap = decode_bitstring(pyramid, built.to_bitstring())
+        packed = PackedBitmap(bitmap)
         points = _probe_points(rng)
         inside, probes = packed.probe_batch(PointBatch.from_points(points))
         assert [(bool(i), int(n))
@@ -123,10 +115,13 @@ class TestProbeDifferential:
 
     @pytest.mark.parametrize("height", (1, 2, 4))
     def test_lazy_probe_matches_lazy_bitmap(self, height):
+        """Covered subtrees (never enumerated) probe as all-zero."""
         rng = random.Random(10 + height)
-        bitmap = LazyPyramidBitmap(Pyramid(BASE, height=height),
-                                   _obstacles(rng))
-        probe = LazyBatchProbe(bitmap.pyramid, bitmap.obstacles)
+        obstacles = _obstacles(rng) + [Rect(0.0, 0.0, 700.0, 400.0)]
+        bitmap = build_pyramid_bitmap(Pyramid(BASE, height=height),
+                                      obstacles)
+        assert height == 1 or any(bitmap.covered)
+        probe = PackedBitmap(bitmap)
         points = _probe_points(rng)
         inside, probes = probe.probe_batch(PointBatch.from_points(points))
         assert [(bool(i), int(n))
@@ -134,7 +129,8 @@ class TestProbeDifferential:
             == [bitmap.probe(p) for p in points]
 
     def test_lazy_probe_with_no_obstacles(self):
-        probe = LazyBatchProbe(Pyramid(BASE, height=2), [])
+        probe = PackedBitmap(build_pyramid_bitmap(Pyramid(BASE, height=2),
+                                                  []))
         points = [Point(1.0, 1.0), Point(-5.0, 3.0), Point(899.0, 899.0)]
         inside, probes = probe.probe_batch(PointBatch.from_points(points))
         # Level 0 finds nothing relevant inside; outside is (False, 1).
@@ -143,17 +139,12 @@ class TestProbeDifferential:
 
     def test_probe_for_selects_kernel_and_caches_on_the_region(self):
         rng = random.Random(21)
-        pyramid = Pyramid(BASE, height=2)
-        eager, _ = build_pyramid_bitmap(pyramid, _obstacles(rng))
-        eager_region = BitmapSafeRegion(eager)
-        lazy_region = BitmapSafeRegion(LazyPyramidBitmap(pyramid,
-                                                         _obstacles(rng)))
-        eager_probe = probe_for(eager_region)
-        lazy_probe = probe_for(lazy_region)
-        assert isinstance(eager_probe, PackedBitmap)
-        assert isinstance(lazy_probe, LazyBatchProbe)
-        assert probe_for(eager_region) is eager_probe
-        assert probe_for(lazy_region) is lazy_probe
+        region = BitmapSafeRegion(build_pyramid_bitmap(
+            Pyramid(BASE, height=2), _obstacles(rng)))
+        probe = probe_for(region)
+        assert isinstance(probe, PackedBitmap)
+        assert probe.bitmap is region.bitmap
+        assert probe_for(region) is probe
 
 
 # ----------------------------------------------------------------------
@@ -191,11 +182,10 @@ class TestBitmapSilentRun:
         rng = random.Random(31)
         pyramid = Pyramid(BASE, height=3)
         obstacles = _obstacles(rng, count=12)
-        if lazy:
-            region = BitmapSafeRegion(LazyPyramidBitmap(pyramid, obstacles))
-        else:
-            bitmap, _ = build_pyramid_bitmap(pyramid, obstacles)
-            region = BitmapSafeRegion(bitmap)
+        bitmap = build_pyramid_bitmap(pyramid, obstacles)
+        if not lazy:  # the client's view: decoded from the wire bits
+            bitmap = decode_bitstring(pyramid, bitmap.to_bitstring())
+        region = BitmapSafeRegion(bitmap)
         points = PointBatch.from_points(self._walk(rng))
         index = 0
         runs = 0
@@ -213,7 +203,7 @@ class TestBitmapSilentRun:
         # longer than the scalar prefix, so the array path must carry
         # the probe accounting (one probe per sample at level 0).
         region = BitmapSafeRegion(
-            LazyPyramidBitmap(Pyramid(BASE, height=2), []))
+            build_pyramid_bitmap(Pyramid(BASE, height=2), []))
         count = _SCALAR_PREFIX * 40
         xs = np.linspace(10.0, 890.0, count)
         points = PointBatch(xs, np.full(count, 450.0))
@@ -221,7 +211,7 @@ class TestBitmapSilentRun:
 
     def test_run_ending_inside_the_scalar_prefix(self):
         region = BitmapSafeRegion(
-            LazyPyramidBitmap(Pyramid(BASE, height=2), []))
+            build_pyramid_bitmap(Pyramid(BASE, height=2), []))
         points = PointBatch.from_points(
             [Point(1.0, 1.0), Point(2.0, 2.0), Point(-5.0, 0.0)])
         # Two silent samples (one probe each), then the exit — which is
