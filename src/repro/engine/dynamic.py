@@ -9,11 +9,13 @@ in front of it.  This module supplies the missing machinery:
 * an :class:`AlarmSchedule` of timed install/remove actions;
 * :func:`run_dynamic_simulation`, a time-major replay that applies due
   actions each step and *push-invalidates* exactly the clients whose
-  cached state the action made stale — on install, every relevant client
-  whose cell the new alarm touches (safe regions are cell-scoped) plus
-  every client holding a non-geometric bound (the safe-period timer); on
-  removal, every client locally holding the alarm (the OPT push list),
-  which would otherwise fire it spuriously;
+  cached state the action made stale — on install, every relevant
+  client whose state the new alarm can reach (:func:`is_stale`): a
+  cell-scoped bitmap or OPT list when the alarm touches the cell, an
+  MWPSR rectangle only when the alarm's region meets the rectangle, and
+  a safe-period timer always; on removal, every client locally holding
+  the alarm (the OPT push list), which would otherwise fire it
+  spuriously;
 * :func:`compute_dynamic_ground_truth`, the reference trigger set under
   alarm lifetimes (an alarm can only fire while installed).
 
@@ -28,6 +30,7 @@ Runs clone the world's registry, so the (memoized) world is untouched.
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Set,
@@ -37,6 +40,7 @@ from ..alarms import AlarmRegistry, AlarmScope, SpatialAlarm
 from ..geometry import Rect
 from ..protocol.messages import InvalidateState
 from ..protocol.transport import ClientSession, connect
+from ..saferegion import RectangularSafeRegion
 from .groundtruth import verify_accuracy
 from .metrics import Metrics
 from .server import AlarmServer
@@ -91,6 +95,7 @@ class AlarmSchedule:
             if not isinstance(action, (InstallAction, RemoveAction)):
                 raise TypeError("unknown schedule action: %r" % (action,))
         self.actions = sorted(actions, key=lambda action: action.time)
+        self._times = [action.time for action in self.actions]
         install_count = -1
         for action in self.actions:
             if isinstance(action, InstallAction):
@@ -105,8 +110,8 @@ class AlarmSchedule:
 
     def due(self, start: float, end: float) -> List[ScheduleAction]:
         """Actions with ``start <= time < end``, in order."""
-        return [action for action in self.actions
-                if start <= action.time < end]
+        return self.actions[bisect.bisect_left(self._times, start):
+                            bisect.bisect_left(self._times, end)]
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -208,7 +213,7 @@ def run_dynamic_simulation(world: World, strategy: "ProcessingStrategy",
         previous_time = step_time + interval / 2.0
         for alarm in installed:
             for client in clients.values():
-                if _stale_after_install(client, alarm):
+                if is_stale(client, server, alarm):
                     _invalidate(client, session, step_time)
         for alarm_id in removed:
             for client in clients.values():
@@ -231,22 +236,42 @@ def run_dynamic_simulation(world: World, strategy: "ProcessingStrategy",
                             energy_model=world.energy)
 
 
-def _stale_after_install(client: "ClientState",
-                         alarm: SpatialAlarm) -> bool:
-    """Does a fresh install make this client's cached state unsafe?"""
-    if not alarm.is_relevant_to(client.user_id):
+def is_stale(client: "ClientState", server: AlarmServer,
+             alarm: SpatialAlarm, vacated: Optional[Rect] = None) -> bool:
+    """Can a new or moved ``alarm`` fire where this client stays silent?
+
+    ``alarm.region`` is where the alarm is now; ``vacated`` is the
+    region a move left (``None`` for an install).  The one staleness
+    rule of both the dynamic and the tracking engine:
+
+    1. alarms the client cannot fire (irrelevant, already fired) and
+       clients holding no state never need a push;
+    2. cell-scoped state (bitmap safe regions, OPT alarm lists) is stale
+       when either region touches the client's grid cell — a vacated
+       region matters because an OPT list still holds the old copy;
+    3. a rectangular safe region is stale only when the alarm's region
+       meets the rectangle (closed test, see
+       :meth:`RectangularSafeRegion.meets`); a spared rectangle is
+       smaller than maximal but still safe;
+    4. anything else (the safe-period timer) is a global bound: stale.
+    """
+    if (not alarm.is_relevant_to(client.user_id)
+            or alarm.alarm_id in server.fired_for(client.user_id)):
         return False
-    has_state = (client.safe_region is not None
+    region = client.safe_region
+    has_state = (region is not None
                  or client.cell_rect is not None
                  or client.expiry > float("-inf")
                  or bool(client.local_alarms))
     if not has_state:
         return False
     if client.cell_rect is not None:
-        # Safe regions and OPT alarm lists are scoped to the client's
-        # grid cell: alarms elsewhere cannot invalidate them.
-        return client.cell_rect.intersects(alarm.region)
-    return True  # non-geometric state (safe-period timer): always stale
+        return (client.cell_rect.intersects(alarm.region)
+                or (vacated is not None
+                    and client.cell_rect.intersects(vacated)))
+    if isinstance(region, RectangularSafeRegion):
+        return region.meets(alarm.region)
+    return True
 
 
 def _invalidate(client: "ClientState", session: ClientSession,

@@ -11,10 +11,12 @@ the distributed architecture handle the class instead:
   derived from the target vehicle's own trace);
 * :func:`run_tracking_simulation` replays time-major; each step it
   relocates tracked alarms through the registry and *push-invalidates*
-  exactly the clients whose cached state the move touches — geometric
-  state (safe regions, OPT lists) only when the old or new region
-  intersects the client's cell, and non-geometric state (safe-period
-  timers) whenever a relevant tracked alarm moved at all;
+  exactly the clients whose cached state a move can reach, by the
+  dynamic engine's rule (:func:`~repro.engine.dynamic.is_stale`):
+  cell-scoped state (bitmap safe regions, OPT lists) when the old or
+  new region touches the client's cell, a rectangular safe region only
+  when the new region meets the rectangle, and non-geometric state
+  (safe-period timers) whenever a relevant tracked alarm moved at all;
 * :func:`compute_tracking_ground_truth` scores the run against the
   moving reference, so the accuracy contract (zero misses, zero
   spurious, on-time) is *verified*, not assumed, for every strategy.
@@ -22,10 +24,10 @@ the distributed architecture handle the class instead:
 The economics are the interesting part (see
 ``tests/engine/test_tracking.py``): safe-period clients degenerate
 toward periodic reporting under tracking (their bound is global, so
-every target move invalidates every subscriber), while cell-scoped safe
-regions confine the churn to clients near the target — the distributed
-architecture's advantage survives, and the invalidation push traffic is
-measured rather than hand-waved.
+every target move invalidates every subscriber), while rectangular and
+cell-scoped safe regions confine the churn to clients near the target —
+the distributed architecture's advantage survives, and the invalidation
+push traffic is measured rather than hand-waved.
 """
 
 from __future__ import annotations
@@ -35,13 +37,12 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
-from ..alarms import AlarmRegistry
+from ..alarms import SpatialAlarm
 from ..geometry import Rect
 from ..mobility import Trace
-from ..protocol.messages import InvalidateState
-from ..protocol.transport import ClientSession, connect
+from ..protocol.transport import connect
 from ..telemetry.facade import DISABLED, Telemetry
-from .dynamic import _clone_registry
+from .dynamic import _clone_registry, _invalidate, is_stale
 from .groundtruth import verify_accuracy
 from .metrics import Metrics
 from .profiling import PhaseProfiler
@@ -49,7 +50,7 @@ from .server import AlarmServer
 from .simulation import GroundTruth, SimulationResult, World
 
 if TYPE_CHECKING:  # runtime import would cycle through strategies.base
-    from ..strategies.base import ClientState, ProcessingStrategy
+    from ..strategies.base import ProcessingStrategy
 
 
 @dataclass(frozen=True)
@@ -130,16 +131,17 @@ def run_tracking_simulation(world: World, strategy: "ProcessingStrategy",
     started = time.perf_counter()
     for step in range(max_steps):
         step_time = step * world.traces.sample_interval
-        moves: List[Tuple[Rect, Rect, int]] = []
+        moves: List[Tuple[Rect, SpatialAlarm]] = []
         for track in tracks:
             old_region = registry.get(track.alarm_id).region
             new_region = track.region_at(step)
             if new_region != old_region:
-                registry.relocate(track.alarm_id, new_region)
-                moves.append((old_region, new_region, track.alarm_id))
+                moves.append((old_region,
+                              registry.relocate(track.alarm_id, new_region)))
         if moves:
             for client in clients.values():
-                if _stale_after_moves(client, server, registry, moves):
+                if any(is_stale(client, server, alarm, vacated)
+                       for vacated, alarm in moves):
                     _invalidate(client, session, step_time)
         for trace in world.traces:
             if step < len(trace):
@@ -159,44 +161,3 @@ def run_tracking_simulation(world: World, strategy: "ProcessingStrategy",
                             energy_model=world.energy,
                             profile=(profiler.report() if profiler is not None
                                      else None))
-
-
-def _stale_after_moves(client: "ClientState", server: AlarmServer,
-                       registry: AlarmRegistry,
-                       moves: Sequence[Tuple[Rect, Rect, int]]) -> bool:
-    """Did any tracked-alarm move make this client's cached state unsafe?"""
-    relevant_moves = [
-        (old_region, new_region) for old_region, new_region, alarm_id
-        in moves
-        if registry.get(alarm_id).is_relevant_to(client.user_id)
-        and alarm_id not in server.fired_for(client.user_id)]
-    if not relevant_moves:
-        return False
-    has_state = (client.safe_region is not None
-                 or client.cell_rect is not None
-                 or client.expiry > float("-inf")
-                 or bool(client.local_alarms))
-    if not has_state:
-        return False
-    if client.cell_rect is not None:
-        # Cell-scoped state: only moves touching the client's cell matter.
-        return any(client.cell_rect.intersects(old_region)
-                   or client.cell_rect.intersects(new_region)
-                   for old_region, new_region in relevant_moves)
-    return True  # safe-period timers are global bounds: always stale
-
-
-def _invalidate(client: "ClientState", session: ClientSession,
-                time_s: float) -> None:
-    telemetry = session.telemetry
-    if telemetry.enabled and client.region_installed_at is not None:
-        # A push-invalidation forcibly ends the client's residency.
-        telemetry.saferegion_exit(time_s, client.user_id,
-                                  time_s - client.region_installed_at)
-    client.safe_region = None
-    client.cell_rect = None
-    client.expiry = float("-inf")
-    client.local_alarms = []
-    client.region_installed_at = None
-    # Header-only InvalidateState push; the transport charges its bytes.
-    session.transport.push(client.user_id, InvalidateState(), time_s)

@@ -65,6 +65,17 @@ class RectangularSafeRegion(SafeRegion):
     def probe(self, p: Point) -> Tuple[bool, int]:
         return (self.rect.contains_point(p), 1)
 
+    def meets(self, region: Rect) -> bool:
+        """Could an alarm over ``region`` fire where this region is silent?
+
+        The closed test, to match the closed :meth:`probe`: a fix that
+        stays silent here and fires the alarm lies in both closed
+        rectangles, so disjoint closed rectangles prove safety.  Shared
+        edges and corners count as contact, which also keeps a
+        zero-width rectangle honest.
+        """
+        return self.rect.intersects(region)
+
     def size_bits(self) -> int:
         return 4 * FLOAT_BITS
 

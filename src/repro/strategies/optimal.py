@@ -52,11 +52,10 @@ class OptimalPolicy(ServerPolicy):
         with server.timed_saferegion(request.user_id, time_s):
             cell = server.current_cell(request.position)
             pending = server.pending_alarms_in(request.user_id, cell)
-        return (InstallAlarmList(
-            cell=cell,
-            alarms=tuple(AlarmRecord(alarm_id=alarm.alarm_id,
-                                     region=alarm.region)
-                         for alarm in pending)),)
+            alarms = tuple(AlarmRecord(alarm_id=alarm.alarm_id,
+                                       region=alarm.region)
+                           for alarm in pending)
+        return (InstallAlarmList(cell=cell, alarms=alarms),)
 
 
 class OptimalStrategy(ProcessingStrategy):

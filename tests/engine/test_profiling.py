@@ -8,14 +8,22 @@ charges wall time once per outermost span (inner spans count calls but
 contribute zero seconds); these tests hold that behavior in place.
 """
 
+from contextlib import contextmanager
+
 import pytest
 
 import repro.saferegion.bitmap as bitmap_module
+import repro.strategies.optimal as optimal_module
 from repro.engine import run_simulation
 from repro.engine.profiling import (PhaseProfiler, PhaseStat,
                                     merge_reports)
-from repro.saferegion import GBSRComputer, PBSRComputer, PyramidBitmap
-from repro.strategies import BitmapSafeRegionStrategy
+from repro.engine.server import AlarmServer
+from repro.saferegion import (GBSRComputer, MWPSRComputer, PBSRComputer,
+                              PyramidBitmap)
+from repro.strategies import (BitmapSafeRegionStrategy, OptimalStrategy,
+                              PeriodicStrategy,
+                              RectangularSafeRegionStrategy,
+                              SafePeriodStrategy)
 
 from ..strategies.conftest import make_world
 
@@ -181,3 +189,80 @@ class TestBitmapWorkAttribution:
                    for _, compute, encoding in seen), seen
         assert result.metrics.saferegion_time_s \
             >= profiler.phases["saferegion_compute"].wall_s
+
+
+class TestServerWorkAttribution:
+    """PRD, SP, MWPSR and OPT charge their safe-region work to the
+    safe-region bucket, and none of it to ``encoding``.
+
+    Each strategy's own safe-region step — MWPSR's rectangle, SP's
+    nearest-alarm distance, OPT's cell alarm list — must run inside
+    ``AlarmServer.timed_saferegion``; PRD computes nothing and charges
+    nothing.
+    """
+
+    @pytest.fixture
+    def traced(self, monkeypatch):
+        """(profiler, seen, spy): spy records each call's bucket depths."""
+        profiler = PhaseProfiler()
+        seen = []
+        inside = [0]
+        original = AlarmServer.timed_saferegion
+
+        @contextmanager
+        def counted(server, *args, **kwargs):
+            with original(server, *args, **kwargs):
+                inside[0] += 1
+                try:
+                    yield
+                finally:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(AlarmServer, "timed_saferegion", counted)
+
+        def spy(owner, name):
+            function = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                seen.append((name, inside[0],
+                             profiler._depth.get("encoding", 0)))
+                return function(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        return profiler, seen, spy
+
+    @pytest.mark.parametrize("strategy, owner, name", (
+        ("mwpsr", MWPSRComputer, "compute"),
+        ("sp", AlarmServer, "pending_nearest_distance"),
+        ("opt", AlarmServer, "pending_alarms_in"),
+        ("opt", optimal_module, "AlarmRecord"),
+    ), ids=("mwpsr-compute", "sp-nearest", "opt-lookup", "opt-list"))
+    def test_safe_region_work_runs_in_timed_saferegion(self, traced,
+                                                       strategy, owner,
+                                                       name):
+        profiler, seen, spy = traced
+        world = make_world(vehicles=6, duration=120.0)
+        make = {"mwpsr": RectangularSafeRegionStrategy,
+                "sp": lambda: SafePeriodStrategy(world.max_speed()),
+                "opt": OptimalStrategy}[strategy]
+        spy(owner, name)
+        result = run_simulation(world, make(), profiler=profiler)
+
+        assert seen
+        assert all(depth == 1 and encoding == 0
+                   for _, depth, encoding in seen), seen
+        assert result.metrics.safe_region_computations > 0
+        assert result.metrics.saferegion_time_s > 0.0
+        assert result.metrics.saferegion_time_s >= profiler.phases.get(
+            "saferegion_compute", PhaseStat()).wall_s
+
+    def test_periodic_charges_no_safe_region_time(self, traced):
+        profiler, seen, spy = traced
+        spy(AlarmServer, "timed_saferegion")
+        result = run_simulation(make_world(vehicles=6, duration=120.0),
+                                PeriodicStrategy(), profiler=profiler)
+
+        assert seen == []
+        assert result.metrics.saferegion_time_s == 0.0
+        assert result.metrics.safe_region_computations == 0
+        assert "saferegion_compute" not in profiler.phases
