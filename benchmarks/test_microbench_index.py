@@ -4,9 +4,12 @@ Unlike the figure benches (one-shot harness timings), these are
 statistical pytest-benchmark measurements of the individual operations
 the alarm server performs millions of times at full scale: point
 containment evaluation (every location report), interior range queries
-(every safe-region computation) and nearest-distance probes (every
-safe-period computation); plus the build-path comparison between
-incremental insertion and STR bulk loading.
+(every safe-region computation), closed range queries and
+nearest-distance probes (every safe-period computation); plus
+the build-path comparison between incremental insertion and STR bulk
+loading (world build uses the latter).  With ``--benchmark-disable``
+each query runs once, which makes the file a fast smoke test of every
+query kernel and of both build paths' ``validate()``.
 """
 
 import random
@@ -61,6 +64,18 @@ def test_cell_range_query(benchmark, tree, probe_points):
         p = probe_points[next(cycler) % len(probe_points)]
         cell = Rect(p.x - 790, p.y - 790, p.x + 790, p.y + 790)
         return tree.search_interior_intersecting(cell)
+
+    benchmark(query)
+
+
+def test_closed_range_query(benchmark, tree, probe_points):
+    """The closed-intersection range query (shared edges match)."""
+    cycler = iter(range(10**9))
+
+    def query():
+        p = probe_points[next(cycler) % len(probe_points)]
+        return tree.search_intersecting(
+            Rect(p.x - 400, p.y - 400, p.x + 400, p.y + 400))
 
     benchmark(query)
 

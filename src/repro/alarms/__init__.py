@@ -3,11 +3,12 @@
 from .alarm import AlarmScope, SpatialAlarm
 from .cellcache import CellAlarmCache
 from .io import load_alarms, save_alarms
-from .registry import (AlarmRegistry, install_clustered_alarms,
+from .registry import (AlarmRegistry, AlarmSpec, install_clustered_alarms,
                        install_random_alarms)
 
 __all__ = [
     "AlarmRegistry",
+    "AlarmSpec",
     "CellAlarmCache",
     "AlarmScope",
     "SpatialAlarm",

@@ -12,11 +12,11 @@ import gzip
 import io
 import json
 import os
-from typing import TextIO, Union
+from typing import List, TextIO, Union
 
 from ..geometry import Rect
 from .alarm import AlarmScope
-from .registry import AlarmRegistry
+from .registry import AlarmRegistry, AlarmSpec
 
 _HEADER = {"format": "repro-alarms", "version": 1}
 
@@ -56,7 +56,9 @@ def load_alarms(path: PathLike,
 
     Alarm ids are reassigned by the target registry; everything else —
     regions, scopes, owners, subscriber lists, labels — round-trips
-    exactly.
+    exactly.  The file is read whole and installed in one
+    :meth:`AlarmRegistry.install_many` batch, so a malformed file
+    installs nothing.
     """
     if registry is None:
         registry = AlarmRegistry()
@@ -69,6 +71,7 @@ def load_alarms(path: PathLike,
         if (header.get("format") != _HEADER["format"]
                 or header.get("version") != _HEADER["version"]):
             raise ValueError("unsupported alarm file header: %r" % header)
+        specs: List[AlarmSpec] = []
         for line_number, line in enumerate(stream, start=2):
             line = line.strip()
             if not line:
@@ -81,9 +84,9 @@ def load_alarms(path: PathLike,
             except (KeyError, TypeError, ValueError) as error:
                 raise ValueError("line %d: malformed alarm record"
                                  % line_number) from error
-            registry.install(region, scope, owner,
-                             subscribers=record.get("subscribers", ()),
-                             moving_target=record.get("moving_target",
-                                                      False),
-                             label=record.get("label"))
+            specs.append(AlarmSpec(region, scope, owner,
+                                   record.get("subscribers", ()),
+                                   record.get("moving_target", False),
+                                   record.get("label")))
+    registry.install_many(specs)
     return registry

@@ -10,11 +10,28 @@ from __future__ import annotations
 
 import random
 from typing import (AbstractSet, Callable, Dict, Iterable, List,
-                    Optional, Sequence)
+                    NamedTuple, Optional, Sequence)
 
 from ..geometry import Point, Rect
 from ..index import RStarTree
 from .alarm import AlarmScope, SpatialAlarm
+
+
+class AlarmSpec(NamedTuple):
+    """Everything :meth:`AlarmRegistry.install` takes, for batch installs."""
+
+    region: Rect
+    scope: AlarmScope
+    owner_id: int
+    subscribers: Iterable[int] = ()
+    moving_target: bool = False
+    label: Optional[str] = None
+
+    @classmethod
+    def of(cls, alarm: SpatialAlarm) -> "AlarmSpec":
+        """The spec that re-installs ``alarm`` (under a new id)."""
+        return cls(alarm.region, alarm.scope, alarm.owner_id,
+                   alarm.subscribers, alarm.moving_target, alarm.label)
 
 
 class AlarmRegistry:
@@ -67,6 +84,31 @@ class AlarmRegistry:
         self._notify(alarm.alarm_id, None, region)
         return alarm
 
+    def install_many(self, specs: Iterable[AlarmSpec]) -> List[SpatialAlarm]:
+        """Install a batch of alarms and pack the index once.
+
+        The world-build path.  Ids are assigned densely exactly as
+        repeated :meth:`install` calls would assign them, but the index
+        is repacked with STR bulk loading (:meth:`rebuild_index`) instead
+        of growing by one R* insertion per alarm.  The batch is atomic:
+        an invalid spec raises before anything is installed.  Listeners
+        then see one ``(id, None, region)`` call per alarm, in id order,
+        against a registry whose index already holds the whole batch.
+        """
+        batch = [SpatialAlarm(alarm_id=self._next_id + offset,
+                              region=spec.region, scope=spec.scope,
+                              owner_id=spec.owner_id,
+                              subscribers=frozenset(spec.subscribers),
+                              moving_target=spec.moving_target,
+                              label=spec.label)
+                 for offset, spec in enumerate(specs)]
+        self._next_id += len(batch)
+        self._alarms.update((alarm.alarm_id, alarm) for alarm in batch)
+        self.rebuild_index()
+        for alarm in batch:
+            self._notify(alarm.alarm_id, None, alarm.region)
+        return batch
+
     def remove(self, alarm_id: int) -> bool:
         """Uninstall an alarm; True when it existed."""
         alarm = self._alarms.pop(alarm_id, None)
@@ -93,10 +135,11 @@ class AlarmRegistry:
     def rebuild_index(self) -> None:
         """Repack the alarm index with bulk (STR) loading.
 
-        Incremental installs degrade index clustering over time; a
-        server can rebuild during quiet periods.  Query results are
-        unchanged — only the tree layout (and its node-access costs)
-        improves.  Operation counters reset with the new tree.
+        :meth:`install_many` packs through here; incremental installs
+        degrade index clustering over time, so a server can also rebuild
+        during quiet periods.  Query results are unchanged — only the
+        tree layout (and its node-access costs) improves.  Operation
+        counters reset with the new tree.
         """
         items = [(alarm.alarm_id, alarm.region)
                  for alarm in self.all_alarms()]
@@ -264,7 +307,7 @@ def _install_alarms(registry: AlarmRegistry, universe: Rect, count: int,
         raise ValueError("public_fraction must be in [0, 1]")
     if private_to_shared_ratio < 0:
         raise ValueError("private_to_shared_ratio must be non-negative")
-    installed: List[SpatialAlarm] = []
+    specs: List[AlarmSpec] = []
     private_share = (private_to_shared_ratio
                      / (1.0 + private_to_shared_ratio))
     for _ in range(count):
@@ -275,9 +318,9 @@ def _install_alarms(registry: AlarmRegistry, universe: Rect, count: int,
         owner = rng.choice(user_ids)
         draw = rng.random()
         if draw < public_fraction:
-            alarm = registry.install(clipped, AlarmScope.PUBLIC, owner)
+            specs.append(AlarmSpec(clipped, AlarmScope.PUBLIC, owner))
         elif rng.random() < private_share:
-            alarm = registry.install(clipped, AlarmScope.PRIVATE, owner)
+            specs.append(AlarmSpec(clipped, AlarmScope.PRIVATE, owner))
         else:
             pool = [uid for uid in user_ids if uid != owner]
             if pool:
@@ -286,7 +329,6 @@ def _install_alarms(registry: AlarmRegistry, universe: Rect, count: int,
                 subscribers = rng.sample(pool, size)
             else:
                 subscribers = [owner]
-            alarm = registry.install(clipped, AlarmScope.SHARED, owner,
-                                     subscribers=subscribers)
-        installed.append(alarm)
-    return installed
+            specs.append(AlarmSpec(clipped, AlarmScope.SHARED, owner,
+                                   subscribers))
+    return registry.install_many(specs)

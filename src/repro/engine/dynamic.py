@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Set,
                     Tuple, Union)
 
-from ..alarms import AlarmRegistry, AlarmScope, SpatialAlarm
+from ..alarms import AlarmRegistry, AlarmScope, AlarmSpec, SpatialAlarm
 from ..geometry import Rect
 from ..protocol.messages import InvalidateState
 from ..protocol.transport import ClientSession, connect
@@ -119,13 +119,11 @@ class AlarmSchedule:
 
 def _clone_registry(registry: AlarmRegistry) -> AlarmRegistry:
     """A fresh registry with identical alarms and identical ids."""
+    alarms = registry.all_alarms()
     clone = AlarmRegistry()
-    for alarm in registry.all_alarms():
-        installed = clone.install(alarm.region, alarm.scope, alarm.owner_id,
-                                  subscribers=alarm.subscribers,
-                                  moving_target=alarm.moving_target,
-                                  label=alarm.label)
-        assert installed.alarm_id == alarm.alarm_id
+    installed = clone.install_many(AlarmSpec.of(alarm) for alarm in alarms)
+    assert ([alarm.alarm_id for alarm in installed]
+            == [alarm.alarm_id for alarm in alarms])
     return clone
 
 

@@ -28,6 +28,7 @@ alongside wall-clock time.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Tuple
@@ -53,13 +54,17 @@ class TreeStats:
         self.reinserts = 0
 
 
-@dataclass
 class _Entry:
     """A node slot: a bounding rectangle plus either a child or an item."""
 
-    rect: Rect
-    child: Optional["_Node"] = None
-    item: Any = None
+    # Slotted by hand: ``dataclass(slots=True)`` needs Python 3.10.
+    __slots__ = ("rect", "child", "item")
+
+    def __init__(self, rect: Rect, child: Optional["_Node"] = None,
+                 item: Any = None) -> None:
+        self.rect = rect
+        self.child = child
+        self.item = item
 
 
 class _Node:
@@ -194,23 +199,39 @@ class RStarTree:
             self._height -= 1
         return True
 
+    # The query kernels below inline the closed/open comparisons of
+    # ``Rect.intersects``, ``Rect.interior_intersects``,
+    # ``Rect.contains_point``, ``Rect.interior_contains_point`` and
+    # ``Rect.distance_to_point`` on hoisted query coordinates: they run
+    # once per location report and per safe-region computation.  Results
+    # (including order), node accesses and distances are those of the
+    # method-call traversals kept in ``tests/index/rstar_oracle.py``.
     def search_intersecting(self, rect: Rect,
                             predicate: Optional[Callable[[Any], bool]] = None
                             ) -> List[Any]:
         """All items whose rectangle intersects ``rect`` (closed test)."""
+        q_min_x, q_min_y = rect.min_x, rect.min_y
+        q_max_x, q_max_y = rect.max_x, rect.max_y
         results: List[Any] = []
         stack = [self._root]
+        stats = self.stats
         while stack:
             node = stack.pop()
-            self.stats.node_accesses += 1
-            for entry in node.entries:
-                if not entry.rect.intersects(rect):
-                    continue
-                if node.leaf:
-                    if predicate is None or predicate(entry.item):
+            stats.node_accesses += 1
+            if node.leaf:
+                for entry in node.entries:
+                    r = entry.rect
+                    if (r.min_x <= q_max_x and q_min_x <= r.max_x
+                            and r.min_y <= q_max_y and q_min_y <= r.max_y
+                            and (predicate is None
+                                 or predicate(entry.item))):
                         results.append(entry.item)
-                else:
-                    stack.append(entry.child)  # type: ignore[arg-type]
+            else:
+                for entry in node.entries:
+                    r = entry.rect
+                    if (r.min_x <= q_max_x and q_min_x <= r.max_x
+                            and r.min_y <= q_max_y and q_min_y <= r.max_y):
+                        stack.append(entry.child)  # type: ignore[arg-type]
         return results
 
     def search_interior_intersecting(self, rect: Rect,
@@ -221,19 +242,30 @@ class RStarTree:
 
         Safe-region computation uses the open test: an alarm that merely
         touches the grid-cell boundary imposes no constraint inside it.
+        Internal descent uses the closed test, a correct superset.
         """
+        q_min_x, q_min_y = rect.min_x, rect.min_y
+        q_max_x, q_max_y = rect.max_x, rect.max_y
         results: List[Any] = []
         stack = [self._root]
+        stats = self.stats
         while stack:
             node = stack.pop()
-            self.stats.node_accesses += 1
-            for entry in node.entries:
-                if node.leaf:
-                    if entry.rect.interior_intersects(rect) and (
-                            predicate is None or predicate(entry.item)):
+            stats.node_accesses += 1
+            if node.leaf:
+                for entry in node.entries:
+                    r = entry.rect
+                    if (r.min_x < q_max_x and q_min_x < r.max_x
+                            and r.min_y < q_max_y and q_min_y < r.max_y
+                            and (predicate is None
+                                 or predicate(entry.item))):
                         results.append(entry.item)
-                elif entry.rect.intersects(rect):
-                    stack.append(entry.child)  # type: ignore[arg-type]
+            else:
+                for entry in node.entries:
+                    r = entry.rect
+                    if (r.min_x <= q_max_x and q_min_x <= r.max_x
+                            and r.min_y <= q_max_y and q_min_y <= r.max_y):
+                        stack.append(entry.child)  # type: ignore[arg-type]
         return results
 
     def search_containing(self, point: Point,
@@ -246,22 +278,30 @@ class RStarTree:
         semantics.  Internal descent always uses the closed test, which
         is a correct superset.
         """
+        x, y = point.x, point.y
         results: List[Any] = []
         stack = [self._root]
+        stats = self.stats
         while stack:
             node = stack.pop()
-            self.stats.node_accesses += 1
-            for entry in node.entries:
-                if not entry.rect.contains_point(point):
-                    continue
-                if node.leaf:
-                    if interior and not entry.rect.interior_contains_point(
-                            point):
+            stats.node_accesses += 1
+            if node.leaf:
+                for entry in node.entries:
+                    r = entry.rect
+                    if interior:
+                        if not (r.min_x < x < r.max_x
+                                and r.min_y < y < r.max_y):
+                            continue
+                    elif not (r.min_x <= x <= r.max_x
+                              and r.min_y <= y <= r.max_y):
                         continue
                     if predicate is None or predicate(entry.item):
                         results.append(entry.item)
-                else:
-                    stack.append(entry.child)  # type: ignore[arg-type]
+            else:
+                for entry in node.entries:
+                    r = entry.rect
+                    if r.min_x <= x <= r.max_x and r.min_y <= y <= r.max_y:
+                        stack.append(entry.child)  # type: ignore[arg-type]
         return results
 
     def nearest_distance(self, point: Point,
@@ -273,26 +313,43 @@ class RStarTree:
         is a best-first branch-and-bound over node MBRs — the standard
         nearest-neighbour descent specialised to distance-only output.
         """
-        import heapq
-
+        x, y = point.x, point.y
+        hypot = math.hypot
+        heappop, heappush = heapq.heappop, heapq.heappush
+        stats = self.stats
         best = math.inf
         counter = 0  # tie-breaker so heap never compares nodes
         heap: List[Tuple[float, int, _Node]] = [(0.0, counter, self._root)]
         while heap:
-            lower_bound, _, node = heapq.heappop(heap)
+            lower_bound, _, node = heappop(heap)
             if lower_bound >= best:
                 break
-            self.stats.node_accesses += 1
+            stats.node_accesses += 1
+            leaf = node.leaf
             for entry in node.entries:
-                distance = entry.rect.distance_to_point(point)
+                r = entry.rect
+                # Rect.distance_to_point: max(lo - p, 0, p - hi) per axis.
+                if x < r.min_x:
+                    dx = r.min_x - x
+                elif x > r.max_x:
+                    dx = x - r.max_x
+                else:
+                    dx = 0.0
+                if y < r.min_y:
+                    dy = r.min_y - y
+                elif y > r.max_y:
+                    dy = y - r.max_y
+                else:
+                    dy = 0.0
+                distance = hypot(dx, dy)
                 if distance >= best:
                     continue
-                if node.leaf:
+                if leaf:
                     if predicate is None or predicate(entry.item):
                         best = distance
                 else:
                     counter += 1
-                    heapq.heappush(heap, (distance, counter, entry.child))
+                    heappush(heap, (distance, counter, entry.child))
         return best
 
     def items(self) -> Iterator[Tuple[Any, Rect]]:
@@ -391,24 +448,52 @@ class RStarTree:
 
     @staticmethod
     def _least_overlap_child(node: _Node, rect: Rect) -> _Entry:
-        """ChooseSubtree at the level above leaves: minimise overlap growth."""
+        """ChooseSubtree at the level above leaves: minimise overlap growth.
+
+        The O(M²) overlap sums dominate every R* insertion, so they
+        inline ``Rect.union``, ``Rect.intersection_area`` and
+        ``Rect.enlargement`` with the same operations and tie rules; a
+        zero overlap adds nothing.  The oracle form is
+        ``oracle_least_overlap_child`` in ``tests/index/rstar_oracle.py``.
+        """
+        q_min_x, q_min_y = rect.min_x, rect.min_y
+        q_max_x, q_max_y = rect.max_x, rect.max_y
+        boxes = [(e.rect.min_x, e.rect.min_y, e.rect.max_x, e.rect.max_y)
+                 for e in node.entries]
         best = None
         best_key: Tuple[float, float, float] = (math.inf, math.inf, math.inf)
-        for entry in node.entries:
-            enlarged = entry.rect.union(rect)
+        for index, (min_x, min_y, max_x, max_y) in enumerate(boxes):
+            e_min_x = q_min_x if q_min_x < min_x else min_x
+            e_min_y = q_min_y if q_min_y < min_y else min_y
+            e_max_x = q_max_x if q_max_x > max_x else max_x
+            e_max_y = q_max_y if q_max_y > max_y else max_y
             overlap_before = 0.0
             overlap_after = 0.0
-            for other in node.entries:
-                if other is entry:
+            for other, (o_min_x, o_min_y, o_max_x, o_max_y) in enumerate(
+                    boxes):
+                if other == index:
                     continue
-                overlap_before += entry.rect.intersection_area(other.rect)
-                overlap_after += enlarged.intersection_area(other.rect)
+                dx = ((o_max_x if o_max_x < max_x else max_x)
+                      - (o_min_x if o_min_x > min_x else min_x))
+                if dx > 0.0:
+                    dy = ((o_max_y if o_max_y < max_y else max_y)
+                          - (o_min_y if o_min_y > min_y else min_y))
+                    if dy > 0.0:
+                        overlap_before += dx * dy
+                dx = ((o_max_x if o_max_x < e_max_x else e_max_x)
+                      - (o_min_x if o_min_x > e_min_x else e_min_x))
+                if dx > 0.0:
+                    dy = ((o_max_y if o_max_y < e_max_y else e_max_y)
+                          - (o_min_y if o_min_y > e_min_y else e_min_y))
+                    if dy > 0.0:
+                        overlap_after += dx * dy
+            area = (max_x - min_x) * (max_y - min_y)
             key = (overlap_after - overlap_before,
-                   entry.rect.enlargement(rect),
-                   entry.rect.area)
+                   (e_max_x - e_min_x) * (e_max_y - e_min_y) - area,
+                   area)
             if key < best_key:
                 best_key = key
-                best = entry
+                best = node.entries[index]
         assert best is not None
         return best
 

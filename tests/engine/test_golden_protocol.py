@@ -15,6 +15,15 @@ alarm's interior are no longer selectable): rejecting the slivers both
 closes the missed-trigger hole and shrinks the counters — a sliver
 region is exited on the very next sample, so the old selection forced
 extra report/compute cycles (95 → 61 uplinks on this world).
+
+``index_node_accesses`` alone was re-captured once more, when world
+build moved from one R* insertion per alarm to a single STR-packed
+``AlarmRegistry.install_many``: the same alarms sit in a differently
+shaped tree, so the same queries visit a different number of nodes
+(periodic 3707 → 3999, safeperiod 1952 → 2018, rectangular and
+adaptive 390 → 373, bitmap 480 → 482, optimal 211 → 206).  Query
+results do not depend on tree shape, so the other ten counters of
+every row are unchanged.
 """
 
 import functools
